@@ -741,24 +741,14 @@ let inc opts =
   Runner.note (Printf.sprintf "wrote %s" path)
 
 (* ------------------------------------------------------------------ *)
-(* Universe/overlay split: what a checker costs to create now that
-   [Constraint.create] copies only overlay words (activity bitsets,
-   degree counters, power totals) and defers the demand-load and ECMP
-   allocations until the first evaluation.  [~eager:true] forces those
-   allocations up front, replicating the pre-split creation cost, so the
-   eager/lazy ratio is the measured benefit of the split.  s/check rows
-   use the same planners and topology as the `inc` experiment so the two
-   JSON records are directly comparable. *)
+(* Universe/overlay split: seconds per uncached check with checkers that
+   copy only overlay words, for the same planners and topology as the
+   `inc` experiment so the two JSON records are directly comparable. *)
 
-let write_overlay_json path ~label ~reps ~eager_us ~lazy_us rows =
+let write_overlay_json path ~label rows =
   let oc = open_out path in
   fprint_json_header oc "universe-overlay-split";
   Printf.fprintf oc "  \"topology\": %S,\n" label;
-  Printf.fprintf oc
-    "  \"creation\": {\"reps\": %d, \"eager_us\": %.3f, \"lazy_us\": %.3f, \
-     \"speedup\": %.2f},\n"
-    reps eager_us lazy_us
-    (eager_us /. Float.max lazy_us 1e-9);
   Printf.fprintf oc "  \"rows\": [\n";
   let n = List.length rows in
   List.iteri
@@ -775,12 +765,10 @@ let write_overlay_json path ~label ~reps ~eager_us ~lazy_us rows =
   close_out oc
 
 let overlay opts =
-  Runner.heading "Universe/overlay split: checker creation cost and s/check";
+  Runner.heading "Universe/overlay split: s/check";
   Runner.note
-    "Eager creation materialises demand loads, ECMP scratch and incremental \
-     state up front (the pre-split cost); lazy is the default overlay-only \
-     allocation.  same_cost asserts incremental and full evaluation agree \
-     on the plan cost.";
+    "same_cost asserts incremental and full evaluation agree on the plan \
+     cost.";
   let label, task =
     if opts.quick then ("A", task "A")
     else
@@ -788,22 +776,6 @@ let overlay opts =
         Task.of_scenario (Gen.build Gen.Dmag { (Gen.params_c ()) with Gen.mas = 24 })
       )
   in
-  let time_creation ~eager reps =
-    (* one warm-up creation per mode so allocation effects hit both sides *)
-    ignore (Constraint.create ~eager task);
-    let t0 = Kutil.Timer.now () in
-    for _ = 1 to reps do
-      ignore (Constraint.create ~eager task)
-    done;
-    (Kutil.Timer.now () -. t0) /. float_of_int reps *. 1e6
-  in
-  let reps = if opts.quick then 50 else 200 in
-  let eager_us = time_creation ~eager:true reps in
-  let lazy_us = time_creation ~eager:false reps in
-  Printf.printf
-    "  checker creation on %s: eager %.1f us, overlay-only %.1f us (%.1fx)\n%!"
-    label eager_us lazy_us
-    (eager_us /. Float.max lazy_us 1e-9);
   let planners =
     [
       ("astar", fun ~config task -> Astar.plan ~config task);
@@ -848,7 +820,7 @@ let overlay opts =
     planners;
   Table_fmt.print ~align:Table_fmt.Right t;
   let path = "BENCH_OVERLAY.json" in
-  write_overlay_json path ~label ~reps ~eager_us ~lazy_us (List.rev !rows);
+  write_overlay_json path ~label (List.rev !rows);
   Runner.note (Printf.sprintf "wrote %s" path)
 
 (* ------------------------------------------------------------------ *)

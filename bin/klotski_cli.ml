@@ -55,9 +55,9 @@ let no_incremental =
   let doc =
     "Disable incremental demand evaluation: every satisfiability check \
      replays all ECMP classes from scratch (the historical path).  \
-     Verdicts, plans and costs are identical either way; this is an \
-     escape hatch and the baseline for the incremental benchmark.  \
-     Setting KLOTSKI_INCREMENTAL=0 has the same effect globally."
+     Verdicts, plans and costs are identical either way; this flag is \
+     the one way to select the full path and the baseline for the \
+     incremental benchmark."
   in
   Arg.(value & flag & info [ "no-incremental" ] ~doc)
 

@@ -12,11 +12,11 @@
     cache key is extended with the last action type, which identifies the
     last block given V.
 
-    The table is domain-safe: it is sharded by key hash with a mutex per
-    shard, so the parallel satisfiability engine's workers can look up,
-    evaluate and insert concurrently.  The constraint evaluation itself
-    runs outside any lock; checks are deterministic per state, so
-    duplicate concurrent evaluations of one key agree. *)
+    The table is domain-safe: one mutex guards it, so the parallel
+    satisfiability engine's workers can look up and insert concurrently.
+    The constraint evaluation itself runs outside the lock; checks are
+    deterministic per state, so duplicate concurrent evaluations of one
+    key agree and the table keeps a single entry. *)
 
 type t
 

@@ -1,5 +1,5 @@
 (* The parallel satisfiability engine: a domain pool, one private
-   [Constraint.t] checker per worker, and one shared sharded [Cache.t].
+   [Constraint.t] checker per worker, and one shared locked [Cache.t].
 
    Checkers are the natural per-worker unit: each owns its own topology
    copy, ECMP scratch and funneling memo, so workers never contend on

@@ -3,7 +3,7 @@
 
     An engine bundles a {!Kutil.Domain_pool} of [jobs] workers, a private
     {!Constraint.t} checker per worker (each with its own topology copy
-    and ECMP scratch), and one shared, sharded {!Cache.t}.  Planners hand
+    and ECMP scratch), and one shared, locked {!Cache.t}.  Planners hand
     it batches of candidate states — A*'s successors of one expansion, a
     whole DP layer frontier — and get the per-candidate verdicts back in
     order.

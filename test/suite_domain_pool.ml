@@ -97,11 +97,10 @@ let test_shutdown_while_idle () =
   Alcotest.(check pass) "no hang" () ()
 
 let test_forced_dispatch_chunked () =
-  (* [set_inline_max 0] pushes every multi-item batch through the worker
-     epoch, covering the chunked cursor on batches much larger (and much
+  (* Every multi-item batch goes through the worker epoch on a multicore
+     host, covering the chunked cursor on batches much larger (and much
      smaller) than the chunk size. *)
   Pool.with_pool ~jobs:4 (fun pool ->
-      Pool.set_inline_max pool 0;
       List.iter
         (fun n ->
           let items = Array.init n (fun i -> i) in
@@ -116,7 +115,6 @@ let test_exception_mid_batch_forced () =
   (* An item exception on the dispatched path: one failure surfaces, the
      remaining chunks drain, and the pool survives. *)
   Pool.with_pool ~jobs:4 (fun pool ->
-      Pool.set_inline_max pool 0;
       let items = Array.init 1000 (fun i -> i) in
       (match
          Pool.map pool
@@ -128,12 +126,6 @@ let test_exception_mid_batch_forced () =
       let out = Pool.map pool ~worker:(fun _ x -> x + 1) items in
       Alcotest.(check int) "usable after mid-batch failure" 1000
         (Array.fold_left (fun acc x -> acc + (x land 1)) 500 out))
-
-let test_inline_max_validation () =
-  Pool.with_pool ~jobs:2 (fun pool ->
-      Alcotest.check_raises "negative rejected"
-        (Invalid_argument "Domain_pool.set_inline_max: negative") (fun () ->
-          Pool.set_inline_max pool (-1)))
 
 let test_create_validation () =
   Alcotest.check_raises "jobs 0 rejected"
@@ -168,6 +160,4 @@ let suite =
         test_forced_dispatch_chunked;
       Alcotest.test_case "exception mid-batch (dispatched)" `Quick
         test_exception_mid_batch_forced;
-      Alcotest.test_case "set_inline_max validation" `Quick
-        test_inline_max_validation;
     ] )

@@ -89,8 +89,6 @@ let test_random_walk_verdicts () =
       let task = random_task seed in
       let full = Constraint.create ~incremental:false task in
       let inc = Constraint.create ~incremental:true task in
-      Alcotest.(check bool) "incremental checker active" true
-        (Constraint.incremental_active inc);
       let n = Array.length task.Task.blocks in
       let applied = Array.make n false in
       let g = Kutil.Prng.create ~seed:(seed * 17) in
@@ -158,15 +156,6 @@ let test_deps_index_sound () =
         (Array.map2 (fun a b -> (a, b)) before after))
     task.Task.blocks
 
-(* The KLOTSKI_INCREMENTAL escape hatch and the config plumbing reach the
-   checker: ~incremental:false must yield an inactive checker. *)
-let test_escape_hatch () =
-  let task = random_task 1 in
-  Alcotest.(check bool) "disabled by argument" false
-    (Constraint.incremental_active (Constraint.create ~incremental:false task));
-  Alcotest.(check bool) "enabled by default" true
-    (Constraint.incremental_active (Constraint.create task))
-
 let suite =
   ( "incremental",
     [
@@ -181,5 +170,4 @@ let suite =
       Alcotest.test_case "random walk verdicts" `Quick
         test_random_walk_verdicts;
       Alcotest.test_case "dependency index sound" `Quick test_deps_index_sound;
-      Alcotest.test_case "escape hatch" `Quick test_escape_hatch;
     ] )

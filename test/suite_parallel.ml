@@ -202,6 +202,82 @@ let test_engine_batch_matches_sequential () =
   Sat_engine.shutdown seq_engine;
   Sat_engine.shutdown par_engine
 
+(* The shared cache under concurrent duplicates: every distinct state
+   appears three times per batch, shuffled, so jobs=4 workers race on the
+   same fresh keys (and later hit them).  Verdicts must match jobs=1, no
+   lookup may go uncounted, and the table must hold each state once. *)
+let test_engine_concurrent_duplicates () =
+  let task = random_task 1 in
+  let n_types = Action.Set.cardinal task.Task.actions in
+  let counts = task.Task.counts in
+  (* Up to 48 lattice states in breadth-first order (36 for this task). *)
+  let seen = Kutil.Vec_key.Table.create 64 in
+  let states = ref [] in
+  let queue = Queue.create () in
+  Queue.add (Compact.origin task.Task.actions) queue;
+  while (not (Queue.is_empty queue)) && List.length !states < 48 do
+    let v = Queue.pop queue in
+    if not (Kutil.Vec_key.Table.mem seen v) then begin
+      Kutil.Vec_key.Table.add seen v ();
+      states := v :: !states;
+      for a = 0 to n_types - 1 do
+        if v.(a) < counts.(a) then begin
+          let v' = Kutil.Vec_key.copy v in
+          v'.(a) <- v'.(a) + 1;
+          Queue.add v' queue
+        end
+      done
+    end
+  done;
+  let states = Array.of_list (List.rev !states) in
+  let groups = 4 in
+  let group g =
+    List.filteri (fun i _ -> i mod groups = g) (Array.to_list states)
+  in
+  let seq_engine = Sat_engine.create ~jobs:1 task in
+  let par_engine = Sat_engine.create ~jobs:4 task in
+  let rng = Kutil.Prng.create ~seed:31 in
+  let lookups = ref 0 in
+  for round = 0 to groups - 1 do
+    (* This round's fresh states plus the previous round's cached ones,
+       each three times, in a shuffled order. *)
+    let distinct =
+      group round @ if round > 0 then group (round - 1) else []
+    in
+    let batch =
+      Array.of_list (List.concat_map (fun v -> [ v; v; v ]) distinct)
+    in
+    for i = Array.length batch - 1 downto 1 do
+      let j = Kutil.Prng.int rng (i + 1) in
+      let t = batch.(i) in
+      batch.(i) <- batch.(j);
+      batch.(j) <- t
+    done;
+    let cands =
+      Array.map
+        (fun v -> { Sat_engine.last_type = None; last_block = None; v })
+        batch
+    in
+    lookups := !lookups + Array.length cands;
+    let seq_ok = Sat_engine.check_batch seq_engine cands in
+    let par_ok = Sat_engine.check_batch par_engine cands in
+    Alcotest.(check (array bool))
+      (Printf.sprintf "round %d verdicts agree" round)
+      seq_ok par_ok
+  done;
+  List.iter
+    (fun (name, e) ->
+      Alcotest.(check int)
+        (name ^ ": every lookup is a hit or a check")
+        !lookups
+        (Sat_engine.cache_hits e + Sat_engine.checks_performed e);
+      Alcotest.(check int)
+        (name ^ ": one entry per distinct state")
+        (Array.length states) (Sat_engine.cache_size e))
+    [ ("jobs=1", seq_engine); ("jobs=4", par_engine) ];
+  Sat_engine.shutdown seq_engine;
+  Sat_engine.shutdown par_engine
+
 let suite =
   ( "parallel",
     [
@@ -217,4 +293,6 @@ let suite =
         test_jobs_one_matches_legacy_stats;
       Alcotest.test_case "engine batch = sequential" `Quick
         test_engine_batch_matches_sequential;
+      Alcotest.test_case "cache under concurrent duplicates" `Quick
+        test_engine_concurrent_duplicates;
     ] )
