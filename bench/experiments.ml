@@ -39,18 +39,31 @@ let task label =
 (* ------------------------------------------------------------------ *)
 (* JSON artifact provenance.  Every BENCH_*.json header records the
    commit it was produced from, so an artifact found loose in a results
-   directory traces back to its code.  Benches also run from exported
-   tarballs and sandboxes without git, so failure to resolve degrades
-   to "unknown" rather than failing the run. *)
+   directory traces back to its code.  A tree with uncommitted changes
+   to tracked files is recorded as "<hash>-dirty": an artifact
+   regenerated inside a change then does not name the parent commit.
+   Benches also run from exported tarballs and sandboxes without git,
+   so failure to resolve degrades to "unknown" rather than failing the
+   run. *)
+
+(* The first line [cmd] prints, if it prints one and exits 0.  The
+   whole output is drained so a long one cannot kill [cmd] by SIGPIPE. *)
+let first_line cmd =
+  let ic = Unix.open_process_in (cmd ^ " 2>/dev/null") in
+  let out = In_channel.input_all ic in
+  match (Unix.close_process_in ic, String.split_on_char '\n' out) with
+  | Unix.WEXITED 0, line :: _ when String.length line > 0 -> Some line
+  | _ -> None
 
 let commit_hash =
   lazy
     (try
-       let ic = Unix.open_process_in "git rev-parse HEAD 2>/dev/null" in
-       let line = try input_line ic with End_of_file -> "" in
-       match Unix.close_process_in ic with
-       | Unix.WEXITED 0 when String.length line > 0 -> line
-       | _ -> "unknown"
+       match first_line "git rev-parse HEAD" with
+       | Some hash -> (
+           match first_line "git status --porcelain --untracked-files=no" with
+           | Some _ -> hash ^ "-dirty"
+           | None -> hash)
+       | None -> "unknown"
      with _ -> "unknown")
 
 let fprint_json_header oc experiment =

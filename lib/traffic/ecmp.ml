@@ -29,6 +29,25 @@ type compiled = {
   volume : float;
 }
 
+(* Growable scratch vector of ids. *)
+module Ivec = struct
+  type t = { mutable data : int array; mutable len : int }
+
+  let create () = { data = Array.make 64 0; len = 0 }
+
+  let push v x =
+    if v.len = Array.length v.data then begin
+      let data = Array.make (2 * v.len) 0 in
+      Array.blit v.data 0 data 0 v.len;
+      v.data <- data
+    end;
+    v.data.(v.len) <- x;
+    v.len <- v.len + 1
+
+  let clear v = v.len <- 0
+  let to_array v = Array.sub v.data 0 v.len
+end
+
 let compile ?(alts = []) u ~sources ~hops =
   let n = Universe.n_switches u in
   let alt_tbl = Hashtbl.create ((2 * List.length alts) + 1) in
@@ -39,33 +58,45 @@ let compile ?(alts = []) u ~sources ~hops =
       in
       if not (List.mem h prev) then Hashtbl.replace alt_tbl j (h :: prev))
     alts;
+  let has_alts = Hashtbl.length alt_tbl > 0 in
   let potential = Bitset.create n in
   List.iter (fun (s, v) -> if v > 0.0 then Bitset.add potential s) sources;
+  (* Candidate rows of the hop being compiled, as four parallel vectors
+     reused across hops. *)
+  let circuits = Ivec.create () and alt_hi = Ivec.create () in
+  let prevs = Ivec.create () and nexts = Ivec.create () in
   let compile_hop h =
-    let candidates = ref [] in
     let next_potential = Bitset.create n in
     let skips = ref [] in
+    let up = match h.dir with `Up -> true | `Down -> false in
+    (* Row [(j, alt)] with hi endpoint [hi_sw] is a candidate iff its
+       upstream end can carry volume and the hop accepts its downstream
+       end. *)
+    let emit j lo alt hi_sw =
+      let prev = if up then lo else hi_sw in
+      let next = if up then hi_sw else lo in
+      if Bitset.mem potential prev && h.accept (Universe.switch u next)
+      then begin
+        Ivec.push circuits j;
+        Ivec.push alt_hi alt;
+        Ivec.push prevs prev;
+        Ivec.push nexts next;
+        Bitset.add next_potential next
+      end
+    in
     (* Fold the accept filter and the reachable-from-sources set into a
        static candidate circuit list: evaluation never scans the rest of
-       the universe. *)
+       the universe.  Rows come in circuit-id order, the as-built row
+       first, then the alternatives in the alts-list order. *)
     for j = 0 to Universe.n_circuits u - 1 do
-      let lo = Universe.endpoint_lo u j and hi = Universe.endpoint_hi u j in
-      let consider ~alt hi_sw =
-        let prev, next =
-          match h.dir with `Up -> (lo, hi_sw) | `Down -> (hi_sw, lo)
-        in
-        if Bitset.mem potential prev && h.accept (Universe.switch u next)
-        then begin
-          candidates := (j, alt, prev, next) :: !candidates;
-          Bitset.add next_potential next
-        end
-      in
-      consider ~alt:(-1) hi;
-      match Hashtbl.find_opt alt_tbl j with
-      | None -> ()
-      | Some alt_his ->
-          (* Reversed at insertion: emit rows in the alts-list order. *)
-          List.iter (fun ah -> consider ~alt:ah ah) (List.rev alt_his)
+      let lo = Universe.endpoint_lo u j in
+      emit j lo (-1) (Universe.endpoint_hi u j);
+      if has_alts then
+        match Hashtbl.find_opt alt_tbl j with
+        | None -> ()
+        | Some alt_his ->
+            (* Reversed at insertion. *)
+            List.iter (fun ah -> emit j lo ah ah) (List.rev alt_his)
     done;
     Bitset.iter
       (fun s ->
@@ -74,18 +105,17 @@ let compile ?(alts = []) u ~sources ~hops =
           Bitset.add next_potential s
         end)
       potential;
-    let quads = Array.of_list (List.rev !candidates) in
     let stage =
       {
-        circuits = Array.map (fun (j, _, _, _) -> j) quads;
-        alt_hi = Array.map (fun (_, a, _, _) -> a) quads;
-        prevs = Array.map (fun (_, _, p, _) -> p) quads;
-        nexts = Array.map (fun (_, _, _, n) -> n) quads;
+        circuits = Ivec.to_array circuits;
+        alt_hi = Ivec.to_array alt_hi;
+        prevs = Ivec.to_array prevs;
+        nexts = Ivec.to_array nexts;
         skip_switches = Array.of_list (List.rev !skips);
       }
     in
-    Bitset.clear potential;
-    Bitset.iter (Bitset.add potential) next_potential;
+    List.iter Ivec.clear [ circuits; alt_hi; prevs; nexts ];
+    Bitset.blit ~src:next_potential ~dst:potential;
     stage
   in
   let stages = Array.of_list (List.map compile_hop hops) in
@@ -112,24 +142,6 @@ let iter_candidates c ~f =
           ~next:stage.nexts.(i)
       done)
     c.stages
-
-(* Growable scratch vector of switch ids. *)
-module Ivec = struct
-  type t = { mutable data : int array; mutable len : int }
-
-  let create () = { data = Array.make 64 0; len = 0 }
-
-  let push v x =
-    if v.len = Array.length v.data then begin
-      let data = Array.make (2 * v.len) 0 in
-      Array.blit v.data 0 data 0 v.len;
-      v.data <- data
-    end;
-    v.data.(v.len) <- x;
-    v.len <- v.len + 1
-
-  let clear v = v.len <- 0
-end
 
 type scratch = {
   vol : float array;  (* per switch, zero outside [touched] *)

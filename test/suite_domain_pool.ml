@@ -87,11 +87,28 @@ let test_map_after_shutdown_raises () =
     (Invalid_argument "Domain_pool.map: pool is shut down") (fun () ->
       ignore (Pool.map seq ~worker:(fun _ x -> x) [| 1; 2 |]))
 
-let test_shutdown_while_idle () =
-  (* Spawned workers parked on the condition variable must wake and join
-     immediately, with no batch ever dispatched. *)
+let test_shutdown_before_dispatch () =
+  (* Domains are spawned lazily on the first dispatched batch, so these
+     pools have no worker domain yet: shutdown has nothing to wake or
+     join and must return at once. *)
   for _ = 1 to 10 do
     let pool = Pool.create ~jobs:4 in
+    Pool.shutdown pool
+  done;
+  Alcotest.(check pass) "no hang" () ()
+
+let test_shutdown_with_parked_workers () =
+  (* One multi-item batch spawns the worker domains (on a host with two
+     or more cores); after it the workers park on the condition
+     variable, and shutdown must wake and join them. *)
+  for _ = 1 to 10 do
+    let pool = Pool.create ~jobs:4 in
+    let out =
+      Pool.map pool ~worker:(fun _ x -> x + 1) (Array.init 64 Fun.id)
+    in
+    Alcotest.(check int) "batch ran" 64 out.(63);
+    (* Give the workers time to return to the condition variable. *)
+    Unix.sleepf 0.005;
     Pool.shutdown pool
   done;
   Alcotest.(check pass) "no hang" () ()
@@ -155,7 +172,10 @@ let suite =
       Alcotest.test_case "shutdown idempotent" `Quick test_shutdown_idempotent;
       Alcotest.test_case "map after shutdown raises (both paths)" `Quick
         test_map_after_shutdown_raises;
-      Alcotest.test_case "shutdown while idle" `Quick test_shutdown_while_idle;
+      Alcotest.test_case "shutdown before any dispatch" `Quick
+        test_shutdown_before_dispatch;
+      Alcotest.test_case "shutdown with parked workers" `Quick
+        test_shutdown_with_parked_workers;
       Alcotest.test_case "forced dispatch, chunked cursor" `Quick
         test_forced_dispatch_chunked;
       Alcotest.test_case "exception mid-batch (dispatched)" `Quick
